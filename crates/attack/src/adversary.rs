@@ -3,10 +3,12 @@
 //!
 //! This is the execution layer behind the `attacks` campaign: one
 //! [`run_adversary`] call drives a [`workloads::attack::AttackPattern`]
-//! through a [`crate::agents::PatternAgent`] on the lock-step
+//! through a [`crate::agents::PatternAgent`] on the event-driven
 //! [`crate::agents::MultiAgentRunner`] (serialized dependent accesses, the
 //! flush+access attacker model every experiment in this crate uses) and
-//! distils the run into an [`AdversaryOutcome`].
+//! distils the run into an [`AdversaryOutcome`].  The runner visits only
+//! the ticks at which the controller or the pattern's burst gating can act,
+//! so a run costs a few visits per access rather than one per cycle.
 //!
 //! The headline question each run answers is the paper's: *did any row's
 //! PRAC activation counter reach the RowHammer threshold before a
@@ -17,7 +19,7 @@
 
 use workloads::attack::AttackKind;
 
-use crate::agents::{MultiAgentRunner, PatternAgent};
+use crate::agents::{MultiAgentRunner, PatternAgent, StepRule};
 use crate::setup::AttackSetup;
 
 /// Security metrics of one adversarial run.
@@ -79,17 +81,30 @@ pub fn run_adversary(
     max_ticks: u64,
     seed: u64,
 ) -> AdversaryOutcome {
+    drive(attack, setup, accesses, max_ticks, seed, StepRule::Event).0
+}
+
+/// [`run_adversary`] under an explicit stepping rule, also handing back the
+/// runner so its controller and counters can be inspected.
+pub(crate) fn drive(
+    attack: &AttackKind,
+    setup: &AttackSetup,
+    accesses: u64,
+    max_ticks: u64,
+    seed: u64,
+    rule: StepRule,
+) -> (AdversaryOutcome, MultiAgentRunner) {
     let controller = setup.build_controller();
     let org = controller.device().config().organization;
     let t_refi = controller.device().config().timing.t_refi;
     let pattern = attack.build(&org, t_refi, seed);
     let mapping = setup.mapping.instantiate(org);
     let mut agent = PatternAgent::new(pattern, mapping, accesses);
-    let mut runner = MultiAgentRunner::new(controller);
+    let mut runner = MultiAgentRunner::with_rule(controller, rule);
     let elapsed_ticks = runner.run(&mut [&mut agent], max_ticks);
     let controller_stats = *runner.controller().stats();
     let dram_stats = *runner.controller().device().stats();
-    AdversaryOutcome {
+    let outcome = AdversaryOutcome {
         accesses_completed: agent.completed(),
         elapsed_ticks,
         max_row_activations: dram_stats.max_row_counter,
@@ -101,7 +116,8 @@ pub fn run_adversary(
         // is_done() is true once everything is *issued*; only a matching
         // completion count proves the run was not cut off mid-flight.
         completed: agent.completed() == accesses,
-    }
+    };
+    (outcome, runner)
 }
 
 #[cfg(test)]
@@ -213,6 +229,32 @@ mod tests {
                 outcome.breached(nrh),
                 "{}: budget {budget} failed to breach NRH {nrh}: {outcome:?}",
                 descriptor.slug
+            );
+        }
+    }
+
+    #[test]
+    fn the_runner_jumps_instead_of_ticking_for_every_pattern() {
+        // A deterministic guard against a silent fall-back to per-tick
+        // stepping: the event rule must visit under a tenth of the ticks.
+        let setup = AttackSetup::new(256);
+        for descriptor in attack_registry() {
+            let accesses = descriptor.kind.accesses_to_breach(256);
+            let (outcome, runner) = drive(
+                &descriptor.kind,
+                &setup,
+                accesses,
+                MAX_TICKS,
+                0,
+                StepRule::Event,
+            );
+            assert!(outcome.completed, "{}: {outcome:?}", descriptor.slug);
+            assert!(
+                runner.visited_steps() * 10 < outcome.elapsed_ticks,
+                "{}: {} visited steps over {} ticks",
+                descriptor.slug,
+                runner.visited_steps(),
+                outcome.elapsed_ticks
             );
         }
     }

@@ -1,4 +1,4 @@
-//! Memory agents and the lock-step multi-agent runner.
+//! Memory agents and the event-driven multi-agent runner.
 //!
 //! The PRACLeak experiments follow Ramulator2's trace mode: each actor
 //! (victim, attacker, trojan, spy) is a stream of *dependent* memory accesses
@@ -7,13 +7,19 @@
 //! measurement a real attacker makes with a timed pointer chase.
 //!
 //! [`MultiAgentRunner`] multiplexes several agents onto one
-//! [`MemoryController`]: each tick it lets every idle agent enqueue its next
-//! access, advances the controller, and routes completions (with their
-//! latencies) back to the owning agent.
+//! [`MemoryController`].  At each visited tick it lets every idle agent
+//! enqueue its next access, advances the controller, and routes completions
+//! (with their latencies) back to the owning agent.  It then jumps straight
+//! to the next tick at which anything can happen: the earliest of the
+//! controller's wake-up ([`MemoryController::next_event_at`]) and the
+//! wake-up of every agent that is neither done nor waiting on an access
+//! ([`MemoryAgent::next_action_at`]).  The skipped ticks are exactly the
+//! ones a per-tick loop would spend on no-ops, so results are identical
+//! cycle for cycle.
 
 use memctrl::controller::MemoryController;
 use memctrl::mapping::AddressMapping;
-use memctrl::request::MemoryRequest;
+use memctrl::request::{CompletedRequest, MemoryRequest};
 use serde::{Deserialize, Serialize};
 use workloads::attack::{AttackAccess, AttackPattern};
 
@@ -60,6 +66,13 @@ pub enum AgentAction {
 pub trait MemoryAgent: std::fmt::Debug {
     /// Called whenever the agent has no outstanding access.
     fn next_action(&mut self, now: u64) -> AgentAction;
+
+    /// Earliest tick strictly after `now` at which [`MemoryAgent::next_action`]
+    /// could do anything other than return [`AgentAction::Idle`] without
+    /// changing state.  Waking early is harmless; waking late is a bug, as
+    /// the runner skips every tick before the returned one.  Only consulted
+    /// while the agent is neither done nor waiting on an access.
+    fn next_action_at(&self, now: u64) -> u64;
 
     /// Called when the agent's outstanding access completes.
     fn on_completion(&mut self, access: RecordedAccess);
@@ -123,7 +136,7 @@ impl SerializedAccessAgent {
 
 impl MemoryAgent for SerializedAccessAgent {
     fn next_action(&mut self, now: u64) -> AgentAction {
-        if self.remaining_accesses == 0 || self.addresses.is_empty() {
+        if self.is_done() {
             return AgentAction::Done;
         }
         if now < self.earliest_next_issue {
@@ -135,13 +148,17 @@ impl MemoryAgent for SerializedAccessAgent {
         AgentAction::Access(addr)
     }
 
+    fn next_action_at(&self, now: u64) -> u64 {
+        self.earliest_next_issue.max(now + 1)
+    }
+
     fn on_completion(&mut self, access: RecordedAccess) {
         self.earliest_next_issue = access.completion_tick + self.think_time;
         self.history.push(access);
     }
 
     fn is_done(&self) -> bool {
-        self.remaining_accesses == 0
+        self.remaining_accesses == 0 || self.addresses.is_empty()
     }
 }
 
@@ -239,6 +256,13 @@ impl MemoryAgent for PatternAgent {
         AgentAction::Access(self.mapping.encode(&access.address))
     }
 
+    fn next_action_at(&self, now: u64) -> u64 {
+        // Without a gated access the pattern is asked afresh, and what it
+        // emits may depend on the tick it is asked at.
+        self.pending
+            .map_or(now + 1, |access| access.not_before.max(now + 1))
+    }
+
     fn on_completion(&mut self, _access: RecordedAccess) {
         self.completed += 1;
     }
@@ -255,22 +279,46 @@ struct Outstanding {
     address: u64,
 }
 
-/// Runs several agents against one memory controller in lock step.
+/// How [`MultiAgentRunner::run`] picks the next tick to visit after
+/// settling one.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum StepRule {
+    /// Jump to the earliest controller or agent wake-up.
+    Event,
+    /// Visit every tick, consulting no wake-up: the oracle the event rule
+    /// is raced against.
+    #[cfg(test)]
+    Tick,
+}
+
+/// Runs several agents against one memory controller, visiting only the
+/// ticks at which the controller or some agent can act.
 #[derive(Debug)]
 pub struct MultiAgentRunner {
     controller: MemoryController,
     now: u64,
     next_request_id: u64,
+    rule: StepRule,
+    visited_steps: u64,
+    /// Completion buffer reused across visited ticks.
+    completions: Vec<CompletedRequest>,
 }
 
 impl MultiAgentRunner {
     /// Wraps a controller, starting the shared clock at tick 0.
     #[must_use]
     pub fn new(controller: MemoryController) -> Self {
+        Self::with_rule(controller, StepRule::Event)
+    }
+
+    pub(crate) fn with_rule(controller: MemoryController, rule: StepRule) -> Self {
         Self {
             controller,
             now: 0,
             next_request_id: 0,
+            rule,
+            visited_steps: 0,
+            completions: Vec::new(),
         }
     }
 
@@ -286,13 +334,21 @@ impl MultiAgentRunner {
         self.now
     }
 
-    /// Runs until every agent reports done (or `max_ticks` elapse).  Returns
-    /// the tick at which the run stopped.
+    /// Ticks visited so far, summed over every [`MultiAgentRunner::run`].
+    /// Far below the elapsed ticks when the event rule is jumping.
+    #[must_use]
+    pub fn visited_steps(&self) -> u64 {
+        self.visited_steps
+    }
+
+    /// Runs until every agent reports done and has no access in flight (or
+    /// `max_ticks` elapse).  Returns the tick at which the run stopped: one
+    /// past the last completion, or the deadline when capped.
     pub fn run(&mut self, agents: &mut [&mut dyn MemoryAgent], max_ticks: u64) -> u64 {
         let deadline = self.now + max_ticks;
         let mut outstanding: Vec<Option<Outstanding>> = vec![None; agents.len()];
         while self.now < deadline {
-            if agents.iter().all(|a| a.is_done()) && outstanding.iter().all(Option::is_none) {
+            if settled(agents, &outstanding) {
                 break;
             }
             // Let every idle agent enqueue its next access.
@@ -321,7 +377,8 @@ impl MultiAgentRunner {
                 }
             }
             // Advance the controller one tick and deliver completions.
-            for completion in self.controller.tick(self.now) {
+            self.controller.tick_into(self.now, &mut self.completions);
+            for completion in self.completions.drain(..) {
                 let agent_idx = completion.core as usize;
                 if let Some(Some(out)) = outstanding.get(agent_idx) {
                     let record = RecordedAccess {
@@ -334,10 +391,41 @@ impl MultiAgentRunner {
                     outstanding[agent_idx] = None;
                 }
             }
-            self.now += 1;
+            self.visited_steps += 1;
+            let next = match self.rule {
+                StepRule::Event => self.next_wake(agents, &outstanding),
+                #[cfg(test)]
+                StepRule::Tick => self.now + 1,
+            };
+            self.now = next.min(deadline);
         }
         self.now
     }
+
+    /// The event rule: the earliest tick after `now` at which the
+    /// controller or an idle, unfinished agent can act.  Once every agent
+    /// has settled the run stops one tick later, as the tick rule does.
+    fn next_wake(
+        &self,
+        agents: &[&mut dyn MemoryAgent],
+        outstanding: &[Option<Outstanding>],
+    ) -> u64 {
+        if settled(agents, outstanding) {
+            return self.now + 1;
+        }
+        let mut wake = self.controller.next_event_at(self.now).unwrap_or(u64::MAX);
+        for (agent, out) in agents.iter().zip(outstanding) {
+            if out.is_none() && !agent.is_done() {
+                wake = wake.min(agent.next_action_at(self.now));
+            }
+        }
+        wake
+    }
+}
+
+/// `true` when every agent is done and none has an access in flight.
+fn settled(agents: &[&mut dyn MemoryAgent], outstanding: &[Option<Outstanding>]) -> bool {
+    agents.iter().all(|a| a.is_done()) && outstanding.iter().all(Option::is_none)
 }
 
 #[cfg(test)]
@@ -452,6 +540,28 @@ mod tests {
         assert!(stopped_at <= 10_000);
         assert!(!agent.is_done());
         assert!(!agent.history.is_empty());
+    }
+
+    #[test]
+    fn an_agent_without_addresses_is_done_and_the_run_stops_at_once() {
+        let mut agent = SerializedAccessAgent::new(Vec::new(), 10);
+        assert!(agent.is_done());
+        assert_eq!(agent.next_action(0), AgentAction::Done);
+        let mut runner = MultiAgentRunner::new(controller(1024));
+        assert_eq!(runner.run(&mut [&mut agent], 1_000_000), 0);
+        assert_eq!(runner.visited_steps(), 0);
+    }
+
+    #[test]
+    fn the_run_stops_one_tick_after_the_last_completion() {
+        let ctrl = controller(1024);
+        let addr = address_of(&ctrl, 0, 3, 0);
+        let mut agent = SerializedAccessAgent::new(vec![addr], 3);
+        let mut runner = MultiAgentRunner::new(ctrl);
+        let stopped_at = runner.run(&mut [&mut agent], 1_000_000);
+        assert_eq!(stopped_at, agent.history[2].completion_tick + 1);
+        // Three accesses need a handful of visits, not one per tick.
+        assert!(runner.visited_steps() * 10 < stopped_at, "{runner:?}");
     }
 
     #[test]

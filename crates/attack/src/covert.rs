@@ -68,7 +68,7 @@ impl CovertChannelResult {
 /// Sender for the activity-based channel: for each bit, either hammers its
 /// row `NBO` times (bit = 1) or idles until the end of the window (bit = 0).
 #[derive(Debug)]
-struct ActivitySender {
+pub(crate) struct ActivitySender {
     row_address: u64,
     bits: Vec<bool>,
     nbo: u32,
@@ -78,7 +78,7 @@ struct ActivitySender {
 }
 
 impl ActivitySender {
-    fn new(row_address: u64, bits: Vec<bool>, nbo: u32, window_ticks: u64) -> Self {
+    pub(crate) fn new(row_address: u64, bits: Vec<bool>, nbo: u32, window_ticks: u64) -> Self {
         let first_active = bits.first().copied().unwrap_or(false);
         Self {
             row_address,
@@ -117,6 +117,16 @@ impl MemoryAgent for ActivitySender {
             AgentAction::Access(self.row_address)
         } else {
             AgentAction::Idle
+        }
+    }
+
+    fn next_action_at(&self, now: u64) -> u64 {
+        // An idle bit (a '0', or a '1' whose hammering is done) waits for
+        // the window to end; the bit advance happens there.
+        if self.accesses_left_in_bit > 0 {
+            now + 1
+        } else {
+            self.window_end().max(now + 1)
         }
     }
 

@@ -10,8 +10,9 @@
 //!   access indices that the attack observes.
 //! * [`agents`] — memory "agents" (attacker, victim, trojan, spy) that issue
 //!   serialized dependent requests to the [`memctrl::MemoryController`] and
-//!   record per-access latencies, plus the lock-step multi-agent runner and
-//!   the [`agents::PatternAgent`] bridge driving any pluggable
+//!   record per-access latencies, plus the multi-agent runner, which jumps
+//!   between controller and agent wake-ups instead of ticking every cycle,
+//!   and the [`agents::PatternAgent`] bridge driving any pluggable
 //!   [`workloads::attack::AttackPattern`].
 //! * [`adversary`] — the attack-vs-mitigation experiment driver behind the
 //!   `attacks` campaign: runs a registered pattern against a mitigated
@@ -38,6 +39,9 @@ pub mod covert;
 pub mod latency;
 pub mod setup;
 pub mod side_channel;
+
+#[cfg(test)]
+mod runner_equivalence;
 
 pub use adversary::{run_adversary, AdversaryOutcome};
 pub use aes::{first_round_t0_lines, Aes128TTable};

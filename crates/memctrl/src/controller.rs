@@ -650,8 +650,9 @@ impl MemoryController {
 }
 
 impl MemoryController {
-    /// Runs the controller until `deadline`, returning every completion in
-    /// order.  Convenience wrapper used by tests and the attack drivers.
+    /// Runs the controller until `deadline`, ticking every cycle, and
+    /// returns every completion in order.  A convenience for tests; the
+    /// attack drivers step through `pracleak`'s event-driven runner.
     pub fn run_until(&mut self, start: u64, deadline: u64) -> Vec<CompletedRequest> {
         let mut all = Vec::new();
         for now in start..deadline {
