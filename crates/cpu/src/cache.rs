@@ -69,10 +69,21 @@ struct Line {
 }
 
 /// One cache level.
+///
+/// The lines live in one flat, set-major array: set `s` owns the `ways`
+/// consecutive lines starting at `s * ways`.  Construction is a single
+/// allocation and a clone (a forked simulation copies every cache) is a
+/// single copy.  Line size and set count are powers of two, so an address
+/// splits into offset, set and tag by shifts and a mask.
 #[derive(Debug, Clone)]
 pub struct Cache {
     config: CacheConfig,
-    sets: Vec<Vec<Line>>,
+    lines: Vec<Line>,
+    ways: usize,
+    /// log2 of the line size.
+    line_shift: u32,
+    /// log2 of the set count.
+    set_shift: u32,
     lru_clock: u32,
     hits: u64,
     misses: u64,
@@ -97,9 +108,13 @@ impl Cache {
             "line size must be a power of two"
         );
         assert!(sets.is_power_of_two(), "set count must be a power of two");
+        let ways = config.ways as usize;
         Self {
             config,
-            sets: vec![vec![Line::default(); config.ways as usize]; sets as usize],
+            lines: vec![Line::default(); sets as usize * ways],
+            ways,
+            line_shift: config.line_bytes.trailing_zeros(),
+            set_shift: sets.trailing_zeros(),
             lru_clock: 0,
             hits: 0,
             misses: 0,
@@ -125,22 +140,32 @@ impl Cache {
     }
 
     fn set_and_tag(&self, address: u64) -> (usize, u64) {
-        let line = address / u64::from(self.config.line_bytes);
-        let set = (line % self.config.sets()) as usize;
-        let tag = line / self.config.sets();
+        let line = address >> self.line_shift;
+        let set = (line & ((1 << self.set_shift) - 1)) as usize;
+        let tag = line >> self.set_shift;
         (set, tag)
     }
 
     /// Line-aligned address reconstructed from a set index and tag.
     fn line_address(&self, set: usize, tag: u64) -> u64 {
-        (tag * self.config.sets() + set as u64) * u64::from(self.config.line_bytes)
+        ((tag << self.set_shift) | set as u64) << self.line_shift
+    }
+
+    /// The ways of set `set`.
+    fn set_lines(&self, set: usize) -> &[Line] {
+        &self.lines[set * self.ways..(set + 1) * self.ways]
+    }
+
+    /// The ways of set `set`, mutably.
+    fn set_lines_mut(&mut self, set: usize) -> &mut [Line] {
+        &mut self.lines[set * self.ways..(set + 1) * self.ways]
     }
 
     /// Looks up `address` without changing any state.
     #[must_use]
     pub fn probe(&self, address: u64) -> bool {
         let (set, tag) = self.set_and_tag(address);
-        self.sets[set].iter().any(|l| l.valid && l.tag == tag)
+        self.set_lines(set).iter().any(|l| l.valid && l.tag == tag)
     }
 
     /// Accesses `address`; on a miss the line is filled (write-allocate) and
@@ -150,7 +175,8 @@ impl Cache {
         let (set, tag) = self.set_and_tag(address);
         let policy = self.config.replacement;
         let lru_clock = self.lru_clock;
-        let set_lines = &mut self.sets[set];
+        let base = set * self.ways;
+        let set_lines = &mut self.lines[base..base + self.ways];
 
         if let Some(line) = set_lines.iter_mut().find(|l| l.valid && l.tag == tag) {
             line.dirty |= is_write;
@@ -174,7 +200,7 @@ impl Cache {
             ReplacementPolicy::Lru => lru_clock,
             ReplacementPolicy::Srrip => SRRIP_INSERT,
         };
-        self.sets[set][victim_index] = Line {
+        self.set_lines_mut(set)[victim_index] = Line {
             tag,
             valid: true,
             dirty: is_write,
@@ -213,7 +239,7 @@ impl Cache {
     pub fn invalidate(&mut self, address: u64) -> Option<u64> {
         let (set, tag) = self.set_and_tag(address);
         let line_addr = self.line_address(set, tag);
-        for line in &mut self.sets[set] {
+        for line in self.set_lines_mut(set) {
             if line.valid && line.tag == tag {
                 let was_dirty = line.dirty;
                 *line = Line::default();
@@ -227,19 +253,19 @@ impl Cache {
     /// Returns the dirty victim, if any.
     pub fn fill(&mut self, address: u64) -> Option<u64> {
         let (set, tag) = self.set_and_tag(address);
-        if self.sets[set].iter().any(|l| l.valid && l.tag == tag) {
+        if self.set_lines(set).iter().any(|l| l.valid && l.tag == tag) {
             return None;
         }
         let policy = self.config.replacement;
         let lru_clock = self.lru_clock;
-        let victim_index = Self::pick_victim(&mut self.sets[set], policy);
-        let victim = self.sets[set][victim_index];
+        let victim_index = Self::pick_victim(self.set_lines_mut(set), policy);
+        let victim = self.set_lines(set)[victim_index];
         let writeback = if victim.valid && victim.dirty {
             Some(self.line_address(set, victim.tag))
         } else {
             None
         };
-        self.sets[set][victim_index] = Line {
+        self.set_lines_mut(set)[victim_index] = Line {
             tag,
             valid: true,
             dirty: false,
@@ -351,6 +377,19 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "set count must be a power of two")]
+    fn non_power_of_two_set_count_is_rejected() {
+        // 768 B / (4 ways x 64 B) = 3 sets.
+        let _ = Cache::new(CacheConfig {
+            size_bytes: 768,
+            ways: 4,
+            line_bytes: 64,
+            hit_latency: 1,
+            replacement: ReplacementPolicy::Lru,
+        });
+    }
+
+    #[test]
     #[should_panic(expected = "at least one set")]
     fn zero_set_geometry_is_rejected() {
         let _ = Cache::new(CacheConfig {
@@ -366,9 +405,35 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
+    use crate::config::CpuConfig;
     use proptest::prelude::*;
 
+    /// The paper's L1D, L2 and LLC geometries and the tiny test geometries.
+    fn indexing_geometries() -> Vec<CacheConfig> {
+        let paper = CpuConfig::paper_default();
+        let tiny = CpuConfig::tiny_for_tests();
+        vec![paper.l1d, paper.l2, paper.llc, tiny.l1d, tiny.l2, tiny.llc]
+    }
+
     proptest! {
+        /// Shift/mask indexing equals the division form it replaced:
+        /// `line = address / line_bytes`, `set = line % sets`,
+        /// `tag = line / sets`, and back `(tag * sets + set) * line_bytes`.
+        #[test]
+        fn shift_mask_indexing_matches_division(addresses in proptest::collection::vec(0u64..u64::MAX, 1..64)) {
+            for config in indexing_geometries() {
+                let c = Cache::new(config);
+                let sets = config.sets();
+                let line_bytes = u64::from(config.line_bytes);
+                for &address in &addresses {
+                    let line = address / line_bytes;
+                    let (set, tag) = c.set_and_tag(address);
+                    prop_assert_eq!((set, tag), ((line % sets) as usize, line / sets));
+                    prop_assert_eq!(c.line_address(set, tag), (tag * sets + set as u64) * line_bytes);
+                }
+            }
+        }
+
         /// After accessing an address it is always present until evicted by
         /// at least `ways` distinct conflicting lines.
         #[test]

@@ -71,6 +71,8 @@ impl Default for ControllerConfig {
 struct PendingRequest {
     request: MemoryRequest,
     address: DramAddress,
+    /// `address.flat_bank(..)`, decoded once at enqueue for the FR-FCFS walk.
+    flat_bank: u32,
     /// Set once the column command has been issued; holds the completion tick.
     completion_tick: Option<u64>,
     /// The request needed an activation (row was closed when first serviced).
@@ -96,6 +98,15 @@ pub struct MemoryController {
     mapping: Box<dyn AddressMapping>,
     scheduler: FrFcfsScheduler,
     pending: Vec<PendingRequest>,
+    /// Earliest `completion_tick` in `pending`, or `u64::MAX` when no
+    /// request is in flight.  An accepted column command lowers it and
+    /// every completion walk recomputes it, so it is always exact.
+    next_completion: u64,
+    /// `Some(choice)` when `choice` is what
+    /// [`MemoryController::chosen_demand_command`] returns for the current
+    /// state; `None` when it must be recomputed.  See
+    /// [`MemoryController::next_event_at`] for the invalidation contract.
+    cached_demand: Option<Option<(usize, DramCommand)>>,
     stats: ControllerStats,
     policy: MitigationPolicy,
     /// Next tick at which a periodic refresh is due.
@@ -119,6 +130,13 @@ pub struct MemoryController {
 
 /// Maximum number of RFM-log entries retained.
 const RFM_LOG_CAP: usize = 1 << 20;
+
+#[cfg(test)]
+thread_local! {
+    /// Hot-path FR-FCFS queue walks made on this thread, read by the
+    /// walk-count test.
+    static DEMAND_WALKS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
 
 /// [`BankActivationView`] over the live device, handed to the mitigation
 /// engine at every decision point.
@@ -185,6 +203,8 @@ impl MemoryController {
             mapping,
             scheduler,
             pending: Vec::with_capacity(config.queue_capacity),
+            next_completion: u64::MAX,
+            cached_demand: None,
             stats: ControllerStats::default(),
             policy,
             next_refresh,
@@ -220,6 +240,8 @@ impl MemoryController {
         self.abo = AboResponder::new(&prac, timing.t_abo_act);
         self.policy = prac.policy.clone();
         self.device.refit_prac(prac, tref_every_n_refreshes);
+        // The queue, the open rows and the hit streak are untouched, so the
+        // cached demand choice stays valid.
     }
 
     /// Assigns the channel of the subsystem this controller drives
@@ -314,13 +336,16 @@ impl MemoryController {
             "request {:#x} routed to the wrong channel",
             request.physical_address
         );
+        let flat_bank = address.flat_bank(&self.device.config().organization);
         self.pending.push(PendingRequest {
             request,
             address,
+            flat_bank,
             completion_tick: None,
             needed_activate: false,
             had_conflict: false,
         });
+        self.cached_demand = None;
         true
     }
 
@@ -331,10 +356,20 @@ impl MemoryController {
         }
     }
 
+    /// Issues `cmd` to the device.  Every accepted command goes through
+    /// here: it may open or close a row (refresh and RFM precharge every
+    /// bank), which the demand choice reads, so acceptance drops the cached
+    /// choice.  A rejected command leaves the controller untouched.
+    fn issue(&mut self, cmd: DramCommand, now: u64) -> Result<u64, IssueError> {
+        let done = self.device.issue(cmd, now)?;
+        self.cached_demand = None;
+        Ok(done)
+    }
+
     /// Issues an RFMab if the device accepts it, recording its kind.
     /// Returns the end of the blocking period on success.
     fn try_issue_rfm(&mut self, now: u64, kind: RfmKind) -> Option<u64> {
-        match self.device.issue(DramCommand::RfmAllBank, now) {
+        match self.issue(DramCommand::RfmAllBank, now) {
             Ok(end) => {
                 self.record_rfm(now, kind);
                 Some(end)
@@ -365,7 +400,7 @@ impl MemoryController {
             && self.device.can_issue(&DramCommand::Refresh, now).is_ok()
         {
             let performs_tref = self.device.next_refresh_performs_tref();
-            if self.device.issue(DramCommand::Refresh, now).is_ok() {
+            if self.issue(DramCommand::Refresh, now).is_ok() {
                 self.stats.refreshes_issued += 1;
                 self.next_refresh += self.device.config().timing.t_refi;
                 self.mitigation.note_refresh(now);
@@ -441,35 +476,34 @@ impl MemoryController {
     }
 
     /// The command the FR-FCFS demand scheduler would attempt right now, as
-    /// `(queue index, command)`.  Pure: both the per-tick scheduling path and
-    /// the event engine's wake-up computation derive from this one function,
-    /// which is what keeps the two engines cycle-exact.
+    /// `(queue index, command)`: a pure walk over the pending queue.
+    ///
+    /// Both the scheduling path and the wake-up computation use this one
+    /// choice, which is what keeps the tick and event engines cycle-exact.
+    /// The hot path reaches it through `cached_demand` (see
+    /// [`MemoryController::next_event_at`]); a direct call is the reference
+    /// the cache is checked against.
     fn chosen_demand_command(&self) -> Option<(usize, DramCommand)> {
         if self.pending.is_empty() {
             return None;
         }
-        let org = self.device.config().organization;
-        // Stream the candidates straight out of the pending queue: this runs
-        // on every scheduling poll *and* every wake-up computation, so it
-        // must not allocate a candidate list per call.
+        // Stream the candidates straight out of the pending queue: no
+        // candidate list is allocated per walk.
         let candidates = self
             .pending
             .iter()
             .enumerate()
             .filter(|(_, p)| p.completion_tick.is_none())
-            .map(|(i, p)| {
-                let bank = self.device.bank(p.address.flat_bank(&org));
-                SchedulerCandidate {
-                    queue_index: i,
-                    address: p.address,
-                    row_hit: bank.open_row() == Some(p.address.row),
-                    arrival_tick: p.request.arrival_tick,
-                }
+            .map(|(i, p)| SchedulerCandidate {
+                queue_index: i,
+                address: p.address,
+                row_hit: self.device.bank(p.flat_bank).open_row() == Some(p.address.row),
+                arrival_tick: p.request.arrival_tick,
             });
         let index = self.scheduler.choose_from(candidates)?.queue_index;
         let pending = &self.pending[index];
         let addr = pending.address;
-        let cmd = match self.device.bank(addr.flat_bank(&org)).open_row() {
+        let cmd = match self.device.bank(pending.flat_bank).open_row() {
             Some(row) if row == addr.row => match pending.request.kind {
                 RequestKind::Read => DramCommand::Read(addr),
                 RequestKind::Write => DramCommand::Write(addr),
@@ -480,60 +514,71 @@ impl MemoryController {
         Some((index, cmd))
     }
 
+    /// [`MemoryController::chosen_demand_command`] on the hot path, where
+    /// the walks are counted under test.
+    fn walk_demand_queue(&self) -> Option<(usize, DramCommand)> {
+        #[cfg(test)]
+        DEMAND_WALKS.with(|walks| walks.set(walks.get() + 1));
+        self.chosen_demand_command()
+    }
+
     /// Picks a pending request with FR-FCFS and issues the next command it
     /// needs (PRE, ACT, or RD/WR).
     fn schedule_demand(&mut self, now: u64) {
-        let Some((index, cmd)) = self.chosen_demand_command() else {
+        let choice = match self.cached_demand {
+            Some(choice) => {
+                debug_assert_eq!(choice, self.chosen_demand_command(), "stale demand choice");
+                choice
+            }
+            None => {
+                let choice = self.walk_demand_queue();
+                self.cached_demand = Some(choice);
+                choice
+            }
+        };
+        let Some((index, cmd)) = choice else {
             return;
         };
-        let org = self.device.config().organization;
         // The hit-streak update is committed only when the device accepts a
-        // command: rejected attempts leave the scheduler (and therefore the
-        // whole controller) untouched, so cycles in which nothing can issue
-        // are pure no-ops the event-driven engine may skip.
+        // command: a rejected attempt leaves the scheduler, and therefore the
+        // whole controller and its cached choice, untouched, so cycles in
+        // which nothing can issue are pure no-ops the event-driven engine
+        // may skip.
+        let Ok(done) = self.issue(cmd, now) else {
+            return;
+        };
+        let bank = self.pending[index].flat_bank;
         match cmd {
             DramCommand::Read(addr) | DramCommand::Write(addr) => {
-                // Row open: issue the column command.
-                match self.device.issue(cmd, now) {
-                    Ok(done) => {
-                        self.scheduler.note_scheduled(addr.flat_bank(&org), true);
-                        let entry = &mut self.pending[index];
-                        entry.completion_tick = Some(done);
-                        // Classify the whole request by what it needed.
-                        if entry.had_conflict {
-                            self.stats.row_conflicts += 1;
-                        } else if entry.needed_activate {
-                            self.stats.row_misses += 1;
-                        } else {
-                            self.stats.row_hits += 1;
-                        }
-                        if self.config.page_policy == PagePolicy::Closed {
-                            // Best effort immediate precharge; if it violates
-                            // timing it will simply be retried by a later
-                            // conflict/miss path.
-                            let _ = self.device.issue(DramCommand::Precharge(addr), done);
-                        }
-                    }
-                    Err(IssueError::TooEarly { .. }) => {}
-                    Err(IssueError::IllegalState { .. }) => {
-                        // The row was closed between candidate collection and
-                        // issue (e.g. by a refresh); retry next tick.
-                    }
+                // Row open: the column command was issued.
+                self.scheduler.note_scheduled(bank, true);
+                self.next_completion = self.next_completion.min(done);
+                let entry = &mut self.pending[index];
+                entry.completion_tick = Some(done);
+                // Classify the whole request by what it needed.
+                if entry.had_conflict {
+                    self.stats.row_conflicts += 1;
+                } else if entry.needed_activate {
+                    self.stats.row_misses += 1;
+                } else {
+                    self.stats.row_hits += 1;
+                }
+                if self.config.page_policy == PagePolicy::Closed {
+                    // Best effort immediate precharge; if it violates
+                    // timing it will simply be retried by a later
+                    // conflict/miss path.
+                    let _ = self.issue(DramCommand::Precharge(addr), done);
                 }
             }
-            DramCommand::Precharge(addr) => {
+            DramCommand::Precharge(_) => {
                 // Row conflict: precharge first.
-                if self.device.issue(cmd, now).is_ok() {
-                    self.scheduler.note_scheduled(addr.flat_bank(&org), false);
-                    self.pending[index].had_conflict = true;
-                }
+                self.scheduler.note_scheduled(bank, false);
+                self.pending[index].had_conflict = true;
             }
-            DramCommand::Activate(addr) => {
+            DramCommand::Activate(_) => {
                 // Row closed: activate.
-                if self.device.issue(cmd, now).is_ok() {
-                    self.scheduler.note_scheduled(addr.flat_bank(&org), false);
-                    self.pending[index].needed_activate = true;
-                }
+                self.scheduler.note_scheduled(bank, false);
+                self.pending[index].needed_activate = true;
             }
             _ => unreachable!("demand scheduling only produces RD/WR/PRE/ACT"),
         }
@@ -558,8 +603,55 @@ impl MemoryController {
     ///   timing deadlines, deferred-RFM retries),
     /// * the obfuscation injection check,
     /// * the next command the FR-FCFS demand scheduler would attempt.
+    ///
+    /// The two queue-wide terms are cached rather than re-walked on every
+    /// visit.  The earliest completion is the exact `next_completion` field.
+    /// The demand choice is the one the last scheduling attempt computed,
+    /// carried over while nothing it reads has changed: the queue contents
+    /// and order, the banks' open rows and the FR-FCFS hit streak.  Each
+    /// mutation of those drops the cache — an accepted command (demand,
+    /// refresh or RFM), an enqueue, a completion removal — so a visit whose
+    /// attempt is rejected (or finds nothing to schedule) walks the queue
+    /// at most once, and not at all when nothing changed since the
+    /// previous visit.  In debug builds every call is checked against the
+    /// uncached recomputation.
     #[must_use]
     pub fn next_event_at(&self, now: u64) -> Option<u64> {
+        let demand = match self.cached_demand {
+            Some(choice) => choice,
+            None => self.walk_demand_queue(),
+        };
+        let wake = self.wake_after(now, self.next_completion, demand);
+        debug_assert_eq!(
+            wake,
+            self.next_event_at_uncached(now),
+            "cached wake-up state diverged from the pending queue"
+        );
+        wake
+    }
+
+    /// [`MemoryController::next_event_at`] recomputed without its caches: the
+    /// earliest completion and the demand choice are re-derived by walking
+    /// the pending queue.  The reference the cached path must equal.
+    fn next_event_at_uncached(&self, now: u64) -> Option<u64> {
+        let next_completion = self
+            .pending
+            .iter()
+            .filter_map(|p| p.completion_tick)
+            .min()
+            .unwrap_or(u64::MAX);
+        self.wake_after(now, next_completion, self.chosen_demand_command())
+    }
+
+    /// The wake-up of [`MemoryController::next_event_at`], given the
+    /// earliest in-flight completion (`u64::MAX` for none) and the demand
+    /// choice.
+    fn wake_after(
+        &self,
+        now: u64,
+        next_completion: u64,
+        demand: Option<(usize, DramCommand)>,
+    ) -> Option<u64> {
         fn earlier(wake: &mut Option<u64>, candidate: u64) {
             *wake = Some(wake.map_or(candidate, |w| w.min(candidate)));
         }
@@ -567,10 +659,8 @@ impl MemoryController {
         let channel_ready = self.device.channel_ready_at();
         let mut wake: Option<u64> = None;
 
-        for p in &self.pending {
-            if let Some(done) = p.completion_tick {
-                earlier(&mut wake, done.max(soonest));
-            }
+        if next_completion != u64::MAX {
+            earlier(&mut wake, next_completion.max(soonest));
         }
         if self.config.refresh_enabled {
             earlier(&mut wake, self.next_refresh.max(channel_ready).max(soonest));
@@ -600,12 +690,7 @@ impl MemoryController {
         if self.injection.is_some() {
             earlier(&mut wake, self.next_injection_check.max(soonest));
         }
-        // Deliberate recomputation: on a visited tick the demand choice was
-        // already made once inside `tick()`.  Caching it across the two
-        // calls would need invalidation on every mutation of the queue, the
-        // banks and the streak — cheap to get subtly wrong, and the scan is
-        // O(pending) with a 64-entry queue bound, so purity wins.
-        if let Some((_, cmd)) = self.chosen_demand_command() {
+        if let Some((_, cmd)) = demand {
             // When the attempted command is rejected for timing, the device
             // names the first violated constraint's release tick; waking
             // there re-runs the (pure) attempt against the next constraint,
@@ -621,8 +706,15 @@ impl MemoryController {
     }
 
     /// Removes requests whose completion tick has been reached, appending
-    /// them to the caller-owned buffer.
+    /// them to the caller-owned buffer.  Returns at once before the
+    /// earliest completion; otherwise one front-to-back pass removes the
+    /// due requests (with `swap_remove`, whose queue order breaks FR-FCFS
+    /// ties) and recomputes `next_completion` from the rest.
     fn collect_completions_into(&mut self, now: u64, completed: &mut Vec<CompletedRequest>) {
+        if now < self.next_completion {
+            return;
+        }
+        let mut next_completion = u64::MAX;
         let mut i = 0;
         while i < self.pending.len() {
             if let Some(done) = self.pending[i].completion_tick {
@@ -643,9 +735,14 @@ impl MemoryController {
                     completed.push(record);
                     continue;
                 }
+                next_completion = next_completion.min(done);
             }
             i += 1;
         }
+        self.next_completion = next_completion;
+        // At least one request left (`now` reached the earliest completion),
+        // moving queue indices: the cached demand choice is stale.
+        self.cached_demand = None;
     }
 }
 
@@ -1018,6 +1115,201 @@ mod tests {
             "expected injected RFMs every tREFI, got {}",
             ctrl.stats().injected_rfms
         );
+    }
+
+    /// splitmix64: a tiny deterministic stream for the randomised tests.
+    fn next_random(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// Checks every cached wake-up term against its recomputation from the
+    /// pending queue, in release builds too (where `next_event_at`'s own
+    /// `debug_assert` is compiled out).
+    fn assert_wake_cache_exact(ctrl: &MemoryController, now: u64, op: &str) {
+        let earliest = ctrl
+            .pending
+            .iter()
+            .filter_map(|p| p.completion_tick)
+            .min()
+            .unwrap_or(u64::MAX);
+        assert_eq!(ctrl.next_completion, earliest, "after {op} at {now}");
+        if let Some(choice) = ctrl.cached_demand {
+            assert_eq!(choice, ctrl.chosen_demand_command(), "after {op} at {now}");
+        }
+        assert_eq!(
+            ctrl.next_event_at(now),
+            ctrl.next_event_at_uncached(now),
+            "after {op} at {now}"
+        );
+    }
+
+    fn purity_gate_controller(
+        policy: MitigationPolicy,
+        page_policy: PagePolicy,
+        refresh_enabled: bool,
+    ) -> MemoryController {
+        let prac = PracConfig::builder()
+            .rowhammer_threshold(16)
+            .back_off_threshold(16)
+            .bank_activation_threshold(4)
+            .policy(policy)
+            .build();
+        let config = ControllerConfig {
+            mapping: MappingKind::RowInterleaved,
+            page_policy,
+            refresh_enabled,
+            queue_capacity: 12,
+            ..ControllerConfig::default()
+        };
+        MemoryController::new(DramDeviceConfig::tiny_for_tests(prac), config)
+    }
+
+    /// Drives `ctrl` through a seeded random interleaving of enqueues
+    /// (single and same-tick bursts, so FR-FCFS ties occur), event-driven
+    /// jumps to `next_event_at`, single ticks and long idle jumps, checking
+    /// the cached wake-up state after every operation.
+    fn drive_randomly(ctrl: &mut MemoryController, seed: u64, ops: usize) {
+        let mut rng = seed;
+        let mut now = 0u64;
+        let mut id = 0u64;
+        let mut completed = Vec::new();
+        for _ in 0..ops {
+            match next_random(&mut rng) % 10 {
+                0..=3 => {
+                    let burst = 1 + next_random(&mut rng) % 3;
+                    for _ in 0..burst {
+                        let r = next_random(&mut rng);
+                        let pa = physical_for(
+                            ctrl,
+                            (r % 2) as u32,
+                            ((r >> 8) % 2) as u32,
+                            ((r >> 16) % 6) as u32,
+                            ((r >> 24) % 8) as u32,
+                        );
+                        let request = if (r >> 32).is_multiple_of(4) {
+                            MemoryRequest::write(id, pa, 0, now)
+                        } else {
+                            MemoryRequest::read(id, pa, 0, now)
+                        };
+                        id += 1;
+                        ctrl.enqueue(request);
+                        assert_wake_cache_exact(ctrl, now, "enqueue");
+                    }
+                }
+                op => {
+                    now = match op {
+                        4..=7 => ctrl.next_event_at(now).unwrap_or(now + 1),
+                        8 => now + 1,
+                        _ => now + 1 + next_random(&mut rng) % 3_000,
+                    };
+                    ctrl.tick_into(now, &mut completed);
+                    assert_wake_cache_exact(ctrl, now, "tick_into");
+                }
+            }
+        }
+        assert!(
+            ctrl.stats().reads_completed + ctrl.stats().writes_completed > 0,
+            "the random walk must complete requests to exercise the cache"
+        );
+    }
+
+    /// The purity gate for the cached wake-up state, in every build
+    /// profile: each mitigation policy, both page policies, refresh on and
+    /// off, under random interleavings of `enqueue`, `tick_into` and
+    /// `next_event_at`.
+    #[test]
+    fn cached_wake_up_equals_recomputation_under_random_interleavings() {
+        let timing = DramTimingSummary::ddr5_8000b();
+        let policies = [
+            MitigationPolicy::AboOnly,
+            MitigationPolicy::AboPlusAcbRfm,
+            MitigationPolicy::Tprac(TpracConfig::with_window_trefi(0.25, &timing)),
+            MitigationPolicy::Disabled,
+            MitigationPolicy::PeriodicRfm { every_trefi: 1 },
+            MitigationPolicy::Para { one_in: 4, seed: 7 },
+        ];
+        for (p, policy) in policies.iter().enumerate() {
+            for page_policy in [PagePolicy::Open, PagePolicy::Closed] {
+                for refresh_enabled in [false, true] {
+                    for seed in 0..2u64 {
+                        let mut ctrl =
+                            purity_gate_controller(policy.clone(), page_policy, refresh_enabled);
+                        drive_randomly(&mut ctrl, seed ^ ((p as u64) << 8), 3_000);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Serialized hammering of two rows of one bank, stepped the way the
+    /// event engine steps a channel (tick, then re-arm at `next_event_at`).
+    /// Returns, per visited tick, the hot-path queue walks it made and
+    /// whether it issued a command.
+    fn hammer_pairs_event_driven(ctrl: &mut MemoryController, pairs: u32) -> Vec<(u64, bool)> {
+        let commands = |ctrl: &MemoryController| {
+            let s = ctrl.device().stats();
+            s.activations + s.precharges + s.reads + s.writes + s.refreshes + s.rfm_all_bank
+        };
+        let pa_a = physical_for(ctrl, 0, 0, 1, 0);
+        let pa_b = physical_for(ctrl, 0, 0, 2, 0);
+        let mut visits = Vec::new();
+        let mut completed = Vec::new();
+        let mut now = 0u64;
+        let mut id = 0u64;
+        for _ in 0..pairs {
+            for pa in [pa_a, pa_b] {
+                assert!(ctrl.enqueue(MemoryRequest::read(id, pa, 0, now)));
+                id += 1;
+                completed.clear();
+                while completed.is_empty() {
+                    now = ctrl
+                        .next_event_at(now)
+                        .expect("a pending request arms a wake-up");
+                    assert!(now < 10_000_000, "hammer loop did not converge");
+                    let walks_before = DEMAND_WALKS.with(std::cell::Cell::get);
+                    let commands_before = commands(ctrl);
+                    ctrl.tick_into(now, &mut completed);
+                    let issued = commands(ctrl) != commands_before;
+                    let _ = ctrl.next_event_at(now);
+                    visits.push((
+                        DEMAND_WALKS.with(std::cell::Cell::get) - walks_before,
+                        issued,
+                    ));
+                }
+            }
+        }
+        visits
+    }
+
+    /// Pins the saving of the cached demand choice without a timing gate: a
+    /// visited tick that issues no command walks the pending queue at most
+    /// once (the scheduling attempt; the wake-up re-arm reuses its choice).
+    #[test]
+    fn idle_visits_walk_the_pending_queue_at_most_once() {
+        for refresh_enabled in [false, true] {
+            let mut ctrl = tiny_controller(MitigationPolicy::AboOnly);
+            ctrl.config.refresh_enabled = refresh_enabled;
+            let visits = hammer_pairs_event_driven(&mut ctrl, 40);
+            assert!(ctrl.stats().abo_rfms >= 1, "the hammer must reach ABO");
+            let idle: Vec<u64> = visits
+                .iter()
+                .filter(|(_, issued)| !issued)
+                .map(|&(walks, _)| walks)
+                .collect();
+            assert!(idle.len() >= 40, "too few idle visits: {}", idle.len());
+            assert!(
+                idle.iter().all(|&walks| walks <= 1),
+                "an idle visit walked the queue {:?} times",
+                idle.iter().max()
+            );
+            for &(walks, _) in &visits {
+                assert!(walks <= 2, "a visit walked the queue {walks} times");
+            }
+        }
     }
 
     #[test]
